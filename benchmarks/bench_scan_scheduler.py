@@ -8,8 +8,9 @@ Three measurements against the PR-1 exhaustive scan:
 2. result identity — the scheduler must produce byte-identical results
    (matched frames, events, aggregates) to the exhaustive scan on the
    existing mixed-batch workload;
-3. parallel multi-camera execution — per-feed makespan speedup of the
-   thread-pool scan over serial feed processing.
+3. parallel multi-camera execution — per-feed makespan speedup, and the
+   wall-clock speed-up of the worker-process scan over serial feed
+   processing.
 
 Each test prints a ``json`` block (``--- bench_scan_scheduler JSON ---``)
 with the raw counters; ``benchmarks/README.md`` explains the fields.  The
@@ -24,7 +25,7 @@ from _bench_output import artifact_path, record_bench
 from _scale import scaled
 
 from repro.backend.planner import PlannerConfig
-from repro.backend.session import MultiCameraSession, QuerySession
+from repro.backend.session import MultiCameraSession, QuerySession, usable_cpus
 from repro.common.config import VideoSpec
 from repro.frontend.builtin import Car, Person, RedCar
 from repro.frontend.higher_order import DurationQuery, SequentialQuery
@@ -265,15 +266,23 @@ def test_scheduler_identical_on_existing_workload(benchmark):
 
 
 def test_parallel_multicamera_speedup(benchmark):
-    """Thread-pool per-feed execution vs serial feeds.
+    """Per-feed worker processes vs serial feeds, on both clocks.
 
     Every feed owns its execution context and simulated clock, so the
     *simulated* makespan of the parallel run is the slowest single feed,
-    while the serial scan pays the sum of all feeds.  Wall-clock is
-    reported for reference (Python threads only help real model backends
-    that release the GIL).
+    while the serial scan pays the sum of all feeds.  On the wall clock the
+    default pool scans the feeds in ``min(feeds, usable CPUs)`` worker
+    processes, so it must beat ``max_workers=1`` by at least 0.7x that
+    many; with a single usable CPU the speed-up is reported, not gated.
+    Each side's wall time is the better of two runs (shared hosts are
+    noisy).
+
+    The clips are at least 60 s long, whatever the scale.  Forking and
+    joining the pool costs a batch about 20-30 ms, which on 10-s clips
+    (150 frames per feed) is a large share of the whole scan: there the
+    pool measured 0.7-1.3x on two CPUs.
     """
-    duration = scaled(60.0, minimum=10.0)
+    duration = scaled(60.0, minimum=60.0)
     zoo = get_library_zoo()
     feeds = {
         "jackson": camera_clip("jackson", duration_s=duration, seed=2),
@@ -283,18 +292,16 @@ def test_parallel_multicamera_speedup(benchmark):
     }
     batch = lambda: [_RedCarQuery(), _PersonQuery()]
 
-    def run_parallel():
-        multi = MultiCameraSession(feeds, zoo=zoo, config=SCHEDULED)
+    def run(max_workers=None):
+        multi = MultiCameraSession(feeds, zoo=zoo, config=SCHEDULED, max_workers=max_workers)
         wall_start = time.perf_counter()
         merged = multi.execute_many(batch())
         return multi, merged, time.perf_counter() - wall_start
 
-    multi, parallel_merged, parallel_wall_s = benchmark.pedantic(run_parallel, rounds=1, iterations=1)
-
-    serial = MultiCameraSession(feeds, zoo=zoo, config=SCHEDULED, max_workers=1)
-    wall_start = time.perf_counter()
-    serial_merged = serial.execute_many(batch())
-    serial_wall_s = time.perf_counter() - wall_start
+    multi, parallel_merged, parallel_wall_s = benchmark.pedantic(run, rounds=1, iterations=1)
+    _, serial_merged, serial_wall_s = run(max_workers=1)
+    parallel_wall_s = min(parallel_wall_s, run()[2])
+    serial_wall_s = min(serial_wall_s, run(max_workers=1)[2])
 
     # The deterministic merge must be identical however the feeds executed.
     for par, ser in zip(parallel_merged, serial_merged):
@@ -307,6 +314,8 @@ def test_parallel_multicamera_speedup(benchmark):
     serial_ms = sum(per_feed_ms.values())
     parallel_ms = max(per_feed_ms.values())
     speedup = serial_ms / max(parallel_ms, 1e-9)
+    pool_size = min(len(feeds), usable_cpus())
+    wall_speedup = serial_wall_s / max(parallel_wall_s, 1e-9)
     _emit_json(
         "parallel_multicamera",
         {
@@ -317,9 +326,16 @@ def test_parallel_multicamera_speedup(benchmark):
             "simulated_speedup_x": round(speedup, 2),
             "wall_clock_parallel_s": round(parallel_wall_s, 3),
             "wall_clock_serial_s": round(serial_wall_s, 3),
+            "worker_processes": pool_size,
+            "wall_clock_speedup_x": round(wall_speedup, 2),
         },
     )
     assert speedup >= 1.5  # 4 similar feeds should approach 4x
+    if pool_size >= 2:
+        assert wall_speedup >= 0.7 * pool_size, (
+            f"{pool_size} worker processes gave a {wall_speedup:.2f}x wall-clock "
+            f"speed-up over serial feeds (gate: {0.7 * pool_size:.2f}x)"
+        )
 
 
 def test_tracing_artifact_and_overhead_gate(benchmark):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -10,7 +11,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.obs.explain import ExplainData
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchRecord:
     """One matching binding (objects for each query variable) on one frame."""
 
@@ -33,7 +34,7 @@ class MatchRecord:
         return self.binding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A time interval during which a condition held for a fixed object set."""
 
@@ -54,6 +55,23 @@ class Event:
     def num_observed_frames(self) -> int:
         """Frames in the range that were actually inspected (not gate-skipped)."""
         return self.num_frames - len(self.skipped_frames)
+
+
+#: A match record's fields after ``frame_id``, read as one tuple.
+_record_row = operator.attrgetter(*[f.name for f in fields(MatchRecord)][1:])
+
+
+def _restore_result(state: Dict[str, Any]) -> "QueryResult":
+    """Rebuild a pickled :class:`QueryResult` (see its ``__reduce__``)."""
+    matches: Dict[int, List[MatchRecord]] = {}
+    for frame_id, rows in state["matches"]:
+        matches[frame_id] = [MatchRecord(frame_id, *row) for row in rows]
+    shared = {frame_id: frame_id for frame_id in matches}
+    state["matches"] = matches
+    state["matched_frames"] = [shared.get(f, f) for f in state["matched_frames"]]
+    result = QueryResult.__new__(QueryResult)
+    result.__dict__.update(state)
+    return result
 
 
 @dataclass
@@ -83,6 +101,21 @@ class QueryResult:
     #: enabled (``PlannerConfig.enable_tracing``).  Excluded from equality
     #: and repr so traced and untraced results compare byte-identical.
     obs: Optional["ExplainData"] = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):
+        """Pickle match records as field rows under their frame id.
+
+        Pickle copies every occurrence of an int, so records pickled whole
+        come back with one frame-id object each instead of one per frame as
+        in the original; rows rebuilt under a shared key keep the copy as
+        small as the original.  Multi-camera feed workers ship every result.
+        """
+        state = dict(self.__dict__)
+        state["matches"] = [
+            (frame_id, [_record_row(record) for record in records])
+            for frame_id, records in self.matches.items()
+        ]
+        return _restore_result, (state,)
 
     def explain(self) -> str:
         """EXPLAIN ANALYZE-style report: planner candidates (estimated vs.

@@ -364,11 +364,11 @@ class ExecutionContext:
         #: pass through the tracker, so they can never land here.
         self._track_sources: Dict[int, Detection] = {}
         self._track_first_seen: Dict[int, int] = {}
-        #: track id -> the (tracker, detector) pairs that emitted it.  Global
-        #: ids are allocated per pair (see :meth:`_global_track_id`), so each
-        #: entry holds exactly one pair — the attribution record the
-        #: persistent index and cross-camera linking rely on.
-        self._track_id_pairs: Dict[int, set] = {}
+        #: track id -> the (tracker, detector) pair that emitted it.  Global
+        #: ids are allocated per pair (see :meth:`_global_track_id`) — the
+        #: attribution record the persistent index and cross-camera linking
+        #: rely on.
+        self._track_id_pairs: Dict[int, Tuple[str, str]] = {}
         #: (tracker, detector, tracker-local id) -> batch-global track id.
         #: Each pair's tracker numbers its tracks from 1, so a batch running
         #: several pairs would otherwise reuse one id for different physical
@@ -515,7 +515,7 @@ class ExecutionContext:
                 if det.track_id is not None:
                     self._track_first_seen.setdefault(det.track_id, frame.frame_id)
                     self._track_sources[det.track_id] = det
-                    self._track_id_pairs.setdefault(det.track_id, set()).add(key)
+                    self._track_id_pairs[det.track_id] = key
         return per_frame[key]
 
     def peek_tracker(self, tracker_name: str, detector_name: str) -> Optional[Any]:
@@ -578,16 +578,6 @@ class ExecutionContext:
         """
         return dict(self._track_sources)
 
-    def ambiguous_track_ids(self) -> set:
-        """Track ids emitted by more than one (tracker, detector) pair.
-
-        Global id allocation makes cross-pair collisions impossible, so this
-        is empty by construction; it remains as a defensive invariant check
-        for cross-camera linking (a non-empty set means the namespacing
-        contract was violated).
-        """
-        return {tid for tid, pairs in self._track_id_pairs.items() if len(pairs) > 1}
-
     def track_pair(self, track_id: int) -> Optional[Tuple[str, str]]:
         """The (tracker, detector) pair that emitted a global track id.
 
@@ -595,10 +585,7 @@ class ExecutionContext:
         every track, so indexed identities can be replayed against the
         right pipeline.  None for unknown ids.
         """
-        pairs = self._track_id_pairs.get(track_id)
-        if not pairs:
-            return None
-        return next(iter(pairs))
+        return self._track_id_pairs.get(track_id)
 
     def track_first_seen(self, track_id: int) -> Optional[int]:
         """Frame id a track was first observed on (None for unknown tracks)."""
@@ -712,3 +699,20 @@ class ExecutionContext:
         self._vobj_states.pop(frame_id, None)
         self._interactions.pop(frame_id, None)
         self._scene_states.pop(frame_id, None)
+
+    def release_scan_state(self) -> None:
+        """Drop what only a running scan uses, once the scan has finished.
+
+        That is the live trackers and model instances, and the caches of
+        the frames still in the lookback window.  What a finished context
+        is read for — clock, scan stats, track sources, track states and
+        their intrinsic caches, reuse counters — stays.  A multi-camera
+        feed worker calls this before shipping its context to the parent.
+        """
+        self._trackers = {}
+        self._models = {}
+        self._detections = {}
+        self._tracked = {}
+        self._vobj_states = {}
+        self._interactions = {}
+        self._scene_states = {}

@@ -18,15 +18,21 @@ paper's query-level computation reuse (§4.2, evaluated in §5.3 as
 "VQPy-Opt"), now covering higher-order compositions as well.
 
 :class:`MultiCameraSession` shards the same query set across several camera
-feeds (e.g. the amber-alert chase crossing camera coverage areas) and merges
-the per-feed results deterministically.
+feeds (e.g. the amber-alert chase crossing camera coverage areas), scans
+the feeds in worker processes, and merges the per-feed results
+deterministically.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+import pickle
+import tempfile
+import threading
+import traceback
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.backend.crosscamera import (
     CrossCameraLinks,
@@ -48,6 +54,7 @@ from repro.common.errors import ExecutionError, FeedFailedError, PlanError
 from repro.frontend.higher_order import TemporalQuery
 from repro.frontend.query import Query
 from repro.frontend.registry import get_library_zoo
+from repro.index.schema import video_key
 from repro.index.store import VideoIndexStore
 from repro.models.zoo import ModelZoo
 from repro.obs.core import Obs
@@ -178,8 +185,9 @@ class QuerySession:
         are then named by their spec).  With ``include_self`` (the default)
         the session's own video comes first, ahead of the extra feeds.  Each
         feed gets its own execution context but performs the same
-        single-pass batched execution as :meth:`execute_many`; feeds run
-        concurrently (``max_workers=1`` forces serial execution).
+        single-pass batched execution as :meth:`execute_many`; feeds run in
+        worker processes (``max_workers=1`` scans them one after another
+        in this process; see :class:`MultiCameraSession`).
         ``start_offsets`` (camera name -> seconds) places each feed on the
         shared wall clock for cross-camera linking.
         """
@@ -250,11 +258,29 @@ class MultiCameraSession:
 
     One :class:`QuerySession` is kept per feed, all sharing the same model
     zoo and planner configuration; each feed's batch still executes as one
-    streaming pass.  Feeds execute **concurrently** on a thread pool — every
-    feed has its own execution context, simulated clock, and (fresh) model
-    instances, so per-feed results are bit-identical to a serial run — and
-    results are merged in feed insertion order, so the merge stays
-    deterministic regardless of completion order.
+    streaming pass.  Feeds scan **in parallel in forked worker processes**,
+    so the scans do not contend for one interpreter lock.  A worker runs
+    one feed's :meth:`QuerySession.execute_many` and ships back its results
+    and the state this process reads afterwards: the feed's execution
+    context (clock, scan stats, track sources and states; the live
+    trackers, model instances and frame caches only a running scan uses
+    stay behind), the planner's variant cache and candidate reports, its
+    spans, metrics and decisions, and its video-index writes.  The parent
+    installs each feed's state into its own :class:`QuerySession` in feed
+    insertion order, so results, clocks, links, the index and the decision
+    log are byte-identical to a serial run whatever order the workers
+    finish in.
+
+    ``max_workers`` is the number of worker processes; None sizes the pool
+    to ``min(feeds, usable CPUs)``.  ``max_workers=1`` scans the feeds one
+    after another in this process, and so does a batch that cannot fork
+    safely or ship its state: on a platform without ``fork``, while other
+    threads run, when its queries do not pickle (for example a query or
+    VObj class defined inside a function), or — with the video index on —
+    when two feeds share one video, whose scans would otherwise not see
+    each other's index writes.  Memory measured in this process
+    (``ru_maxrss`` of ``RUSAGE_SELF``) excludes the workers;
+    ``RUSAGE_CHILDREN`` reports them.
 
     With ``enable_cross_camera_reid`` on (:class:`PlannerConfig`), every
     execution additionally links the feeds' tracks into global identities
@@ -279,12 +305,12 @@ class MultiCameraSession:
             raise ValueError("MultiCameraSession needs at least one video feed")
         self.zoo = zoo or get_library_zoo()
         self.config = config or PlannerConfig()
-        #: Thread-pool width for per-feed execution; None sizes to the feed
-        #: count (capped by the CPU count), 1 forces serial execution.
+        #: Worker processes for per-feed scans; None sizes the pool to
+        #: min(feeds, usable CPUs), 1 scans the feeds serially in-process.
         self.max_workers = max_workers
-        #: One persistent index shared by every feed (the store's write path
-        #: is locked, so concurrent per-feed scans interleave safely); None
-        #: when the video index is disabled.
+        #: One persistent index shared by every feed (workers journal their
+        #: writes and the parent replays them in feed order); None when the
+        #: video index is disabled.
         index_cfg = self.config.index()
         self.index_store: Optional[VideoIndexStore] = (
             VideoIndexStore(index_cfg.path) if index_cfg.enabled else None
@@ -321,9 +347,37 @@ class MultiCameraSession:
         return list(self.sessions)
 
     def _worker_count(self) -> int:
+        feeds = len(self.sessions)
         if self.max_workers is not None:
-            return max(1, self.max_workers)
-        return max(1, min(len(self.sessions), os.cpu_count() or 1))
+            return max(1, min(self.max_workers, feeds))
+        return max(1, min(feeds, usable_cpus()))
+
+    def _scans_in_processes(self, queries: Sequence[Query]) -> bool:
+        """Whether this batch's feeds scan in worker processes.
+
+        Workers are forked (they inherit the sessions and their spill
+        files), so the platform must have ``fork``, and no other thread may
+        be running: a forked child gets a copy of every lock, including
+        any another thread holds at that moment.  A feed's shipped state
+        refers to the queries' classes, so they must pickle; and with the
+        video index on every feed must scan its own video, because a worker
+        cannot read a sibling's index writes.
+        """
+        if (
+            self._worker_count() <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1
+        ):
+            return False
+        if self.index_store is not None:
+            videos = {video_key(session.video) for session in self.sessions.values()}
+            if len(videos) < len(self.sessions):
+                return False
+        try:
+            pickle.dumps(list(queries))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return False
+        return True
 
     def timeline(self) -> GlobalTimeline:
         """The shared wall-clock axis the feeds' events are aligned on."""
@@ -361,29 +415,21 @@ class MultiCameraSession:
     def _execute_batch(self, queries, reid_enabled, obs, root):
         merged = [MultiCameraResult(query_name=q.query_name) for q in queries]
         names = list(self.sessions)
-        workers = self._worker_count()
         # Settle *every* feed before deciding the batch's fate: a feed that
         # fails must neither abandon its in-flight siblings nor discard the
         # results the surviving feeds already produced.
         outcomes: Dict[str, List[QueryResult]] = {}
         failures: Dict[str, Exception] = {}
-        if workers <= 1 or len(names) <= 1:
+        if self._scans_in_processes(queries):
+            self._scan_in_processes(queries, reid_enabled, obs, root, outcomes, failures)
+        else:
             for name in names:
                 try:
-                    outcomes[name] = self._run_feed(name, queries, reid_enabled, obs, root)
+                    outcomes[name] = _scan_feed(
+                        self.sessions[name], name, queries, reid_enabled, obs, root
+                    )
                 except Exception as exc:
                     failures[name] = exc
-        else:
-            with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="camera-feed") as pool:
-                futures = {
-                    name: pool.submit(self._run_feed, name, queries, reid_enabled, obs, root)
-                    for name in names
-                }
-                for name, future in futures.items():
-                    try:
-                        outcomes[name] = future.result()
-                    except Exception as exc:
-                        failures[name] = exc
         self.last_feed_failures = self._settle_failures(names, failures, outcomes)
         for name in names:
             if name not in outcomes:
@@ -441,18 +487,60 @@ class MultiCameraSession:
             partial_results=outcomes,
         )
 
-    def _run_feed(self, name, queries, reid_enabled, obs, parent):
-        """One feed's batch execution, traced as its own parallel lane.
+    def _scan_in_processes(self, queries, reid_enabled, obs, root, outcomes, failures):
+        """Scan every feed in a forked worker; install them in feed order.
 
-        The explicit ``parent`` matters: on the thread pool the tracer's
-        thread-local span stack is empty, so without it the feed spans
-        would float unparented instead of nesting under ``execute-batch``.
+        Each feed gets an anonymous spill file that the workers inherit
+        along with the sessions and the batch.  A worker streams the feed's
+        state into it and the parent streams it back out, so no copy of the
+        whole state is ever buffered as one block in either process.
         """
+        obs_config = self.config.obs() if obs is not None else None
+        spills = {name: tempfile.TemporaryFile() for name in self.sessions}
+        try:
+            with ProcessPoolExecutor(
+                max_workers=self._worker_count(),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_bind_worker,
+                initargs=(self.sessions, spills, list(queries), reid_enabled, obs_config),
+            ) as pool:
+                futures = {name: pool.submit(_scan_feed_in_worker, name) for name in self.sessions}
+                for name, future in futures.items():
+                    try:
+                        outcomes[name] = self._install(name, future, spills[name], obs, root)
+                    except Exception as exc:
+                        failures[name] = exc
+        finally:
+            for spill in spills.values():
+                spill.close()
+        if self.index_store is not None:
+            self.index_store.save()
+
+    def _install(self, name: str, future, spill, obs, root) -> List[QueryResult]:
+        """Take over one worker-scanned feed's state; return its results.
+
+        Raises the feed's own error (with the worker traceback chained as
+        its cause) when the feed failed, after installing whatever state it
+        left — exactly what a serial scan leaves behind.
+        """
+        error, remote_tb = future.result()
         session = self.sessions[name]
-        if obs is None:
-            return session.execute_many(queries, ensure_events=reid_enabled)
-        with obs.tracer.span("feed-scan", parent=parent, lane=name, feed=name):
-            return session.execute_many(queries, ensure_events=reid_enabled, obs=obs)
+        spill.seek(0)
+        feed_obs, journal = pickle.load(spill)
+        if self.index_store is not None:
+            self.index_store.replay(journal)
+        if obs is not None:
+            obs.merge(feed_obs, parent=root)
+        state = _FeedStateUnpickler(spill, _shared_objects(session, obs)).load()
+        session.last_context = state["context"]
+        session.last_obs = obs
+        session.last_multi = None
+        for attr, value in state["planner"].items():
+            setattr(session.planner, attr, value)
+        if error is not None:
+            error.__cause__ = _RemoteTraceback(remote_tb)
+            raise error
+        return state["results"]
 
     # -- cross-camera re-identification -----------------------------------------
     def link_tracks(self) -> CrossCameraLinks:
@@ -549,6 +637,127 @@ class MultiCameraSession:
         if self.link_clock.elapsed_ms > 0:
             out["<cross-camera>"] = self.link_clock.breakdown()
         return out
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where available)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _scan_feed(session, name, queries, ensure_events, obs, parent):
+    """One feed's batch execution, traced as its own lane.
+
+    ``parent`` is the batch's ``execute-batch`` span in a serial run and
+    None in a worker process, whose spans the parent adopts under it.
+    """
+    if obs is None:
+        return session.execute_many(queries, ensure_events=ensure_events)
+    with obs.tracer.span("feed-scan", parent=parent, lane=name, feed=name):
+        return session.execute_many(queries, ensure_events=ensure_events, obs=obs)
+
+
+# -- worker processes -------------------------------------------------------------
+#: The batch a worker process scans, set once per worker by the pool
+#: initializer.
+_worker_batch: Dict[str, Any] = {}
+_worker_lock = threading.Lock()
+
+#: Planner state a feed's batch leaves for later batches and readers.
+_PLANNER_STATE = ("_variant_cache", "last_candidate_reports")
+
+
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, chained as its error's cause."""
+
+
+def _bind_worker(sessions, spills, queries, ensure_events, obs_config) -> None:
+    with _worker_lock:
+        _worker_batch.update(
+            sessions=sessions,
+            spills=spills,
+            queries=queries,
+            ensure_events=ensure_events,
+            obs_config=obs_config,
+        )
+
+
+def _scan_feed_in_worker(name: str) -> Tuple[Optional[Exception], str]:
+    """Scan one feed of the bound batch into its spill file.
+
+    The file holds the feed's obs bundle and index journal (plain pickle),
+    then its results, context and planner state (pickled with shared
+    objects as references).  Returns the feed's error and traceback.
+    """
+    with _worker_lock:
+        batch = dict(_worker_batch)
+    session = batch["sessions"][name]
+    obs = Obs.from_config(batch["obs_config"])
+    store = session.index_store
+    if store is not None:
+        store.start_journal()
+    results, error, remote_tb = None, None, ""
+    try:
+        results = _scan_feed(session, name, batch["queries"], batch["ensure_events"], obs, None)
+    except Exception as exc:
+        error, remote_tb = exc, traceback.format_exc()
+    ctx = session.last_context
+    if ctx is not None:
+        ctx.release_scan_state()
+    state = {
+        "results": results,
+        "context": ctx,
+        "planner": {attr: getattr(session.planner, attr) for attr in _PLANNER_STATE},
+    }
+    spill = batch["spills"][name]
+    journal = store.take_journal() if store is not None else []
+    pickle.dump((obs, journal), spill, protocol=pickle.HIGHEST_PROTOCOL)
+    _FeedStatePickler(spill, _shared_objects(session, obs)).dump(state)
+    spill.flush()
+    return error, remote_tb
+
+
+def _shared_objects(session: QuerySession, obs: Optional[Obs]) -> Dict[str, Any]:
+    """Objects both processes hold, which shipped state names, not copies.
+
+    On each side these are that side's own video, zoo, index store and obs
+    bundle, so installed contexts and results point at the parent's.
+    """
+    shared = {"video": session.video, "zoo": session.zoo, "index": session.index_store}
+    if obs is not None:
+        shared.update(obs=obs, tracer=obs.tracer, metrics=obs.metrics, decisions=obs.decisions)
+    return {token: obj for token, obj in shared.items() if obj is not None}
+
+
+def _shared_ref(token: str) -> Any:
+    """Placeholder the worker pickles for a shared object; the parent's
+    unpickler resolves ``token`` to its own object instead of calling it."""
+    raise pickle.UnpicklingError(f"shared object {token!r} is resolved by the feed unpickler")
+
+
+class _FeedStatePickler(pickle.Pickler):
+    def __init__(self, file, shared: Dict[str, Any]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._tokens = {id(obj): token for token, obj in shared.items()}
+
+    def reducer_override(self, obj):
+        token = self._tokens.get(id(obj))
+        if token is None:
+            return NotImplemented
+        return _shared_ref, (token,)
+
+
+class _FeedStateUnpickler(pickle.Unpickler):
+    def __init__(self, file, shared: Dict[str, Any]) -> None:
+        super().__init__(file)
+        self._shared = shared
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_shared_ref":
+            return self._shared.__getitem__
+        return super().find_class(module, name)
 
 
 def _named_feeds(

@@ -4,10 +4,12 @@ One :class:`VideoIndexStore` holds every indexed video, keyed by
 :func:`~repro.index.schema.video_key`; under each video, per-frame model
 results live in ``(model, version)`` buckets, so a retrained model (new
 version) invalidates exactly its own entries and nothing else.  The store
-is process-wide state shared by every feed of a multi-camera session: all
-mutation happens under one re-entrant lock, so concurrent per-feed scans
-interleave their writes without corrupting the tables, and the canonical
-JSON serialization is deterministic regardless of write order
+is shared by every feed of a multi-camera session.  Feeds that scan in
+worker processes write to their own copy of the store with a *journal*
+on (:meth:`VideoIndexStore.start_journal`); the parent replays the
+journals in feed order, so the tables end up exactly as a serial run
+leaves them.  All mutation happens under one re-entrant lock, and the
+canonical JSON serialization is deterministic regardless of write order
 (``sort_keys=True``).
 
 Sessions never touch the store directly during a scan; they go through an
@@ -50,8 +52,48 @@ class VideoIndexStore:
         self.path = path
         self._lock = threading.RLock()
         self._payload: Dict[str, Any] = schema.empty_payload()
+        #: Writes since :meth:`start_journal` as ``(method, args)`` pairs;
+        #: None when not journaling.
+        self._journal: Optional[List[Tuple[str, tuple]]] = None
         if path is not None and os.path.exists(path):
             self._load(path)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but the lock; pickle a store no scan is writing to."""
+        with self._lock:
+            state = dict(self.__dict__)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.RLock()
+
+    # ---------------------------------------------------------------- journal --
+    def start_journal(self) -> None:
+        """Log every later write so another copy of the store can replay it.
+
+        A journaling store never saves: its writes belong to whoever
+        replays the journal (:meth:`replay`), and that store persists them.
+        """
+        with self._lock:
+            self._journal = []
+
+    def take_journal(self) -> List[Tuple[str, tuple]]:
+        """The writes since :meth:`start_journal`; journaling stops."""
+        with self._lock:
+            journal, self._journal = self._journal or [], None
+        return journal
+
+    def replay(self, journal: List[Tuple[str, tuple]]) -> None:
+        """Apply another store's journaled writes, in their order."""
+        writers = {
+            "record": self.record,
+            "record_tracks": self.record_tracks,
+            "record_stats": self.record_stats,
+        }
+        for method, args in journal:
+            writers[method](*args)
 
     # ------------------------------------------------------------ persistence --
     def _load(self, path: str) -> None:
@@ -73,8 +115,9 @@ class VideoIndexStore:
         self._payload = payload
 
     def save(self) -> None:
-        """Atomically write the canonical serialization (no-op in memory)."""
-        if self.path is None:
+        """Atomically write the canonical serialization (no-op in memory
+        or while journaling)."""
+        if self.path is None or self._journal is not None:
             return
         data = self.to_json()
         tmp = f"{self.path}.tmp"
@@ -130,6 +173,10 @@ class VideoIndexStore:
     ) -> None:
         """Store one entry, replacing any stale (other-version) bucket."""
         with self._lock:
+            if self._journal is not None:
+                self._journal.append(
+                    ("record", (video_key, kind, model_name, version, entry_key, value))
+                )
             kinds = self._video(video_key)["kinds"].setdefault(kind, {})
             bucket = kinds.get(model_name)
             if bucket is None or bucket.get("version") != version:
@@ -142,6 +189,8 @@ class VideoIndexStore:
     ) -> None:
         """Merge one (tracker, detector) pair's track summaries."""
         with self._lock:
+            if self._journal is not None:
+                self._journal.append(("record_tracks", (video_key, pair_key, version, tracks)))
             table = self._video(video_key)["tracks"]
             bucket = table.get(pair_key)
             if bucket is None or bucket.get("version") != version:
@@ -152,6 +201,8 @@ class VideoIndexStore:
     def record_stats(self, video_key: str, stats: Dict[str, Any]) -> None:
         """Merge observed per-video scan statistics."""
         with self._lock:
+            if self._journal is not None:
+                self._journal.append(("record_stats", (video_key, stats)))
             self._video(video_key)["stats"].update(stats)
 
     def video_stats(self, video_key: str) -> Dict[str, Any]:

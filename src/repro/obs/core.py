@@ -3,6 +3,8 @@
 A single ``Obs`` instance is shared across every layer of one execution
 (session → executor → scheduler → context → re-id), so a multi-feed batch
 produces one coherent trace with parallel feed lanes and one decision log.
+Feeds that run in worker processes trace into bundles of their own, which
+the parent folds in with :meth:`Obs.merge`.
 
 ``Obs.from_config`` returns ``None`` when tracing is disabled; hot paths
 guard on ``if obs is not None`` so the disabled mode costs one attribute
@@ -17,7 +19,7 @@ from typing import Optional
 from repro.common.config import ObsConfig
 from repro.obs.decisions import DecisionLog
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import Span, Tracer
 
 
 class Obs:
@@ -35,3 +37,11 @@ class Obs:
         if config is None or not config.enabled:
             return None
         return cls(config)
+
+    def merge(self, other: "Obs", parent: Optional[Span] = None) -> None:
+        """Fold another bundle in (a feed traced in a worker process): its
+        spans are adopted under ``parent``, metrics summed, decisions
+        appended."""
+        self.tracer.adopt(other.tracer, parent=parent)
+        self.metrics.merge(other.metrics)
+        self.decisions.extend(other.decisions)

@@ -2,7 +2,7 @@
 
 Every discretionary choice the engine makes — gating a frame, deferring
 it under stride sampling, interpolating or rescanning a gap, retiring a
-stream early, excluding a track from re-id linking — lands here as a
+stream early, leaving a track out of re-id linking — lands here as a
 ``Decision`` with a machine-readable ``action``/``reason`` pair.
 
 Memory is bounded two ways: the record deque evicts oldest-first past
@@ -18,7 +18,7 @@ Decision catalog (action / reasons) — see docs/observability.md:
 * ``frame-rescanned`` / ``validation-failed``, ``scan-ended-mid-gap``
 * ``stride-raised`` / ``stable-streak``; ``stride-reset`` / ``prediction-mismatch``
 * ``stream-retired`` / ``answer-determined``; ``scan-early-exit`` / ``all-streams-done``
-* ``reid-excluded`` / ``ambiguous-track-id``, ``below-min-track-frames``
+* ``reid-excluded`` / ``below-min-track-frames``
 * ``reid-embedding-recomputed`` / ``seeded-frame-provenance``
 * ``reid-unmatched`` / ``empty-gallery``, ``below-threshold``,
   ``class-mismatch``, ``identity-contended``
@@ -118,6 +118,35 @@ class DecisionLog:
             for (action, reason), count in sorted(self._counts.items()):
                 out.setdefault(action, {})[reason] = count
             return out
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but the lock (feed workers ship their logs back)."""
+        with self._lock:
+            state = dict(self.__dict__)
+            state["_records"] = deque(self._records, maxlen=self._records.maxlen)
+            state["_counts"] = dict(self._counts)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def extend(self, other: "DecisionLog") -> None:
+        """Append ``other``'s records after this log's, as if recorded here.
+
+        Counts and evictions add up, so merging the logs of feeds traced
+        apart leaves the same records and counts as one shared log would.
+        """
+        state = other.__getstate__()
+        with self._lock:
+            for decision in state["_records"]:
+                if len(self._records) == self._records.maxlen:
+                    self.evicted += 1
+                self._records.append(decision)
+            for key, count in state["_counts"].items():
+                self._counts[key] = self._counts.get(key, 0) + count
+            self.evicted += state["evicted"]
 
     def __len__(self) -> int:
         with self._lock:

@@ -109,25 +109,41 @@ class MetricsRegistry:
         with self._lock:
             return self._histograms.get(_key(name, labels))
 
-    # -- copying ----------------------------------------------------------
+    # -- copying and merging ----------------------------------------------
 
-    def __deepcopy__(self, memo: Dict[int, object]) -> "MetricsRegistry":
-        """Deep-copy the metric maps behind a *fresh* lock.
+    def __getstate__(self) -> Dict[str, object]:
+        """The metric maps without the lock (locks neither copy nor pickle).
 
-        Locks are not copyable, and a copy must never share the original's
-        lock anyway.  Scan checkpointing deep-copies the scheduler's
-        ``ScanStats`` (whose counters live in a registry), so this has to
-        work under ``copy.deepcopy``.
+        Scan checkpointing deep-copies the scheduler's ``ScanStats`` (whose
+        counters live in a registry), and multi-camera feed workers ship
+        their registries back to the parent process; ``copy.deepcopy`` and
+        ``pickle`` both go through this pair.
         """
-        import copy
-
-        clone = MetricsRegistry()
-        memo[id(self)] = clone
         with self._lock:
-            clone._counters = dict(self._counters)
-            clone._gauges = copy.deepcopy(self._gauges, memo)
-            clone._histograms = copy.deepcopy(self._histograms, memo)
-        return clone
+            return {
+                "_counters": dict(self._counters),
+                "_gauges": dict(self._gauges),
+                "_histograms": dict(self._histograms),
+            }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold ``other`` in: counters add, ``other``'s gauges win, and
+        histogram summaries combine."""
+        state = other.__getstate__()
+        with self._lock:
+            for key, value in state["_counters"].items():
+                self._counters[key] = self._counters.get(key, 0) + value
+            self._gauges.update(state["_gauges"])
+            for key, stat in state["_histograms"].items():
+                mine = self._histograms.setdefault(key, HistogramStat())
+                mine.count += stat.count
+                mine.total += stat.total
+                mine.min = min(mine.min, stat.min)
+                mine.max = max(mine.max, stat.max)
 
     # -- snapshot ---------------------------------------------------------
 

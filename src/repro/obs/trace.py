@@ -13,10 +13,12 @@ virtual milliseconds by snapshotting a ``SimClock`` at enter/exit.  A span
 never charges the clock it observes, which is what keeps results
 byte-identical with tracing on or off.
 
-Parenting is implicit via a thread-local span stack; cross-thread work
-(per-feed scans on the ``MultiCameraSession`` pool) passes ``parent=``
-explicitly and names a ``lane`` so exported traces render concurrent
-feeds as parallel lanes.  ``Tracer.span`` is a context manager and must be
+Parenting is implicit via a thread-local span stack; a span may instead
+pass ``parent=`` explicitly and names a ``lane`` so exported traces render
+concurrent feeds as parallel lanes.  A ``MultiCameraSession`` feed scans
+in a worker process with its own tracer, and the parent adopts that
+tracer's spans under the batch's ``execute-batch`` span
+(:meth:`Tracer.adopt`).  ``Tracer.span`` is a context manager and must be
 used in a ``with`` statement (staticcheck SC6xx enforces this).
 
 Exporters: ``to_json`` (plain span dicts) and ``to_chrome_trace`` (Chrome
@@ -155,6 +157,52 @@ class Tracer:
             span.wall_end_s = time.perf_counter() - self._epoch
             if clock is not None:
                 span.virt_end_ms = clock.snapshot()
+
+    # -- pickling and merging ---------------------------------------------
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Everything but the lock and the thread-local parent stacks."""
+        with self._lock:
+            state = dict(self.__dict__)
+            state["_spans"] = list(self._spans)
+        del state["_lock"], state["_local"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+        self._local = threading.local()
+
+    def adopt(self, other: "Tracer", parent: Optional[Span] = None) -> None:
+        """Append ``other``'s spans as if they had been recorded here.
+
+        A feed worker process traces into its own tracer; the parent adopts
+        it so the batch still exports as one trace.  Span ids are
+        renumbered, ``other``'s root spans are re-parented under ``parent``,
+        and wall times move onto this tracer's epoch (``perf_counter`` is
+        one system-wide clock, so epochs compare across processes).  The
+        ``max_spans`` bound applies to the adopted spans too.  The spans
+        move rather than copy, so ``other`` should not be used afterwards.
+        """
+        shift = other._epoch - self._epoch
+        renumbered: Dict[int, int] = {}
+        root_id = getattr(parent, "span_id", None)
+        with self._lock:
+            self.dropped += other.dropped
+            for span in other.spans():
+                if len(self._spans) >= self.max_spans:
+                    self.dropped += 1
+                    continue
+                renumbered[span.span_id] = self._next_id
+                span.span_id = self._next_id
+                self._next_id += 1
+                span.parent_id = (
+                    root_id if span.parent_id is None else renumbered.get(span.parent_id)
+                )
+                span.wall_start_s += shift
+                if span.wall_end_s is not None:
+                    span.wall_end_s += shift
+                self._spans.append(span)
 
     # -- queries ----------------------------------------------------------
 

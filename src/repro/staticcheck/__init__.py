@@ -18,9 +18,10 @@ Rule families
   deterministic on their evaluation path (interprocedural over local
   helpers), and raw RNG construction stays behind :mod:`repro.common.rng`.
 * ``picklability`` (SC3xx) — fields of plans/streams/contexts/configs whose
-  types cannot cross a process boundary (the shard-parallel entry gate).
+  types cannot cross a process boundary (multi-camera feeds ship their
+  contexts from worker processes).
 * ``thread-safety`` (SC4xx) — module-level mutable state mutated without a
-  lock, and closure hazards on the thread-pool worker path.
+  lock, and lambdas submitted to executor pools.
 * ``knob-hygiene`` (SC5xx) — every ``enable_*`` knob defaults to ``False``,
   is exercised by a test, and is documented.
 

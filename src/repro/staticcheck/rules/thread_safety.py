@@ -1,14 +1,14 @@
-"""SC4xx — thread-safety of state reachable from the worker pool.
+"""SC4xx — thread-safety of module-level state and pool submissions.
 
-:class:`~repro.backend.session.MultiCameraSession` fans per-camera scans
-out over a ``ThreadPoolExecutor``, so any module-level mutable state the
-worker path can touch is shared between threads.  The rule flags
-module-level state that the module itself *mutates* (subscript writes,
-mutating method calls, or ``global`` rebinding) without holding a
+Module-level mutable state is shared by every thread of a process, and
+:class:`~repro.backend.session.MultiCameraSession` scans its feeds in
+worker processes, where such state is silently per-process.  The rule
+flags module-level state that the module itself *mutates* (subscript
+writes, mutating method calls, or ``global`` rebinding) without holding a
 module-level :class:`threading.Lock` — read-only constant tables are fine
 and deliberately ignored.  It also flags lambdas submitted to executor
-pools, which both capture ambient state and defeat the picklability audit
-if the pool ever becomes process-based.
+pools, which capture ambient state and cannot be pickled for a process
+pool.
 
 Findings
 --------
@@ -90,7 +90,7 @@ class _FunctionScanner(ast.NodeVisitor):
                 symbol=self.module.dotted,
                 message=(
                     f"mutates module-level {name!r} ({how}) without holding a lock — "
-                    "this state is reachable from the multi-camera thread pool"
+                    "this state is shared by every thread of the process"
                 ),
                 fix_hint=(
                     "guard the mutation with a module-level threading.Lock() "
@@ -147,8 +147,8 @@ class ThreadSafetyRule(Rule):
     name = "thread-safety"
     id_prefix = "SC4"
     description = (
-        "module-level mutable state reachable from the thread-pool worker "
-        "path is lock-guarded; pools never receive lambdas"
+        "module-level mutable state is lock-guarded; pools never receive "
+        "lambdas"
     )
 
     def check(self, target: AnalysisTarget, config: CheckConfig) -> List[Finding]:

@@ -475,7 +475,12 @@ class TestCrossCameraSession:
         links = session.last_links
         for name, feed_session in session.sessions.items():
             ctx = feed_session.last_context
-            assert ctx.ambiguous_track_ids() == set()
+            # Every linked id maps to exactly one (tracker, detector) pair.
+            owners = {}
+            for (tracker, detector, _local), gid in ctx._track_id_map.items():
+                owners.setdefault(gid, set()).add((tracker, detector))
+            for profile in links.profiles[name]:
+                assert owners[profile.track_id] == {ctx.track_pair(profile.track_id)}
             profile_pairs = {
                 ctx.track_pair(profile.track_id) for profile in links.profiles[name]
             }

@@ -304,22 +304,11 @@ class TestFeedFailureSettling:
     results surviving feeds had already produced."""
 
     @staticmethod
-    def _arm(multi, fail_feed, ran, monkeypatch):
-        for name, session in multi.sessions.items():
-            if name == fail_feed:
-                def boom(*a, **kw):
-                    raise RuntimeError("injected feed failure")
+    def _arm(multi, fail_feed, monkeypatch):
+        def boom(*a, **kw):
+            raise RuntimeError("injected feed failure")
 
-                monkeypatch.setattr(session, "execute_many", boom)
-            else:
-                real = session.execute_many
-
-                def tracked(*a, _real=real, _name=name, **kw):
-                    out = _real(*a, **kw)
-                    ran.append(_name)
-                    return out
-
-                monkeypatch.setattr(session, "execute_many", tracked)
+        monkeypatch.setattr(multi.sessions[fail_feed], "execute_many", boom)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_single_error_names_feed_and_keeps_survivors(
@@ -328,15 +317,116 @@ class TestFeedFailureSettling:
         from repro.common.errors import ExecutionError
 
         multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=workers)
-        ran = []
-        self._arm(multi, "banff", ran, monkeypatch)
+        self._arm(multi, "banff", monkeypatch)
         with pytest.raises(ExecutionError) as excinfo:
             multi.execute(RedCarQuery())
         # One error, naming the failing feed, with the survivors settled and
-        # their finished results attached.
+        # their finished results attached: the surviving feed ran to the end.
         assert "'banff'" in str(excinfo.value)
         assert set(excinfo.value.failed_feeds) == {"banff"}
-        assert ran == ["jackson"]
         assert set(excinfo.value.partial_results) == {"jackson"}
         [result] = excinfo.value.partial_results["jackson"]
         assert result.num_frames_processed == feeds["jackson"].num_frames
+
+
+class TestWorkerProcesses:
+    """Feeds scan in worker processes unless the batch cannot ship."""
+
+    def test_pool_size_and_process_choice(self, feeds, zoo, fast_config):
+        from repro.backend.session import usable_cpus
+
+        multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config)
+        assert multi._worker_count() == min(len(feeds), usable_cpus())
+        wide = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=2)
+        assert wide._worker_count() == 2
+        assert wide._scans_in_processes([RedCarQuery()])
+        serial = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=1)
+        assert not serial._scans_in_processes([RedCarQuery()])
+
+        class LocalQuery(RedCarQuery):
+            pass
+
+        # A class defined inside a function does not pickle: serial loop.
+        assert not wide._scans_in_processes([LocalQuery()])
+        # A batch joins its pool's threads, so the next batch forks again.
+        wide.execute(RedCarQuery())
+        assert wide._scans_in_processes([RedCarQuery()])
+
+    def test_other_running_threads_keep_the_batch_in_process(self, feeds, zoo, fast_config):
+        import threading
+
+        multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            assert not multi._scans_in_processes([RedCarQuery()])
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert multi._scans_in_processes([RedCarQuery()])
+
+    def test_index_with_a_repeated_video_scans_serially(self, feeds, zoo):
+        from repro.backend.planner import PlannerConfig
+
+        config = PlannerConfig(profile_plans=False, enable_video_index=True)
+        twice = MultiCameraSession(
+            [feeds["jackson"], feeds["jackson"]], zoo=zoo, config=config, max_workers=2
+        )
+        assert not twice._scans_in_processes([RedCarQuery()])
+        distinct = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=2)
+        assert distinct._scans_in_processes([RedCarQuery()])
+
+    def test_feeds_run_in_other_processes(self, feeds, zoo, fast_config, monkeypatch):
+        import os
+
+        multi = MultiCameraSession(feeds, zoo=zoo, config=fast_config, max_workers=2)
+
+        def report_pid(*a, **kw):
+            raise RuntimeError(f"pid={os.getpid()}")
+
+        for name in feeds:
+            monkeypatch.setattr(multi.sessions[name], "execute_many", report_pid)
+        from repro.common.errors import ExecutionError
+
+        with pytest.raises(ExecutionError) as excinfo:
+            multi.execute(RedCarQuery())
+        pids = {str(exc) for exc in excinfo.value.failed_feeds.values()}
+        assert f"pid={os.getpid()}" not in pids
+        # The worker traceback travels along as the error's cause.
+        for exc in excinfo.value.failed_feeds.values():
+            assert "report_pid" in str(exc.__cause__)
+
+    def test_traced_decisions_and_metrics_match_serial(self, feeds, zoo):
+        from repro.backend.planner import PlannerConfig
+
+        config = PlannerConfig(
+            profile_plans=False, enable_tracing=True, enable_cross_camera_reid=True
+        )
+        runs = {}
+        for workers in (1, 2):
+            multi = MultiCameraSession(feeds, zoo=zoo, config=config, max_workers=workers)
+            merged = multi.execute_many([RedCarQuery(), CarCountQuery()])
+            runs[workers] = (multi, merged)
+        (serial, serial_merged), (pooled, pooled_merged) = runs[1], runs[2]
+        assert pooled.last_obs.decisions.summary() == serial.last_obs.decisions.summary()
+        assert (
+            pooled.last_obs.metrics.snapshot()["counters"]
+            == serial.last_obs.metrics.snapshot()["counters"]
+        )
+        assert [s.name for s in pooled.last_obs.tracer.spans()] == [
+            s.name for s in serial.last_obs.tracer.spans()
+        ]
+        for got, want in zip(pooled_merged, serial_merged):
+            for name in feeds:
+                assert got.camera(name) == want.camera(name)
+                # explain() reads the parent's merged bundle, not a copy.
+                assert got.camera(name).obs.decisions is pooled.last_obs.decisions
+        for name in feeds:
+            a, b = pooled.sessions[name], serial.sessions[name]
+            assert a.last_scan_stats == b.last_scan_stats
+            assert a.last_context.clock.breakdown() == b.last_context.clock.breakdown()
+            assert a.last_context.video is b.video
+            assert a.planner.last_candidate_reports == b.planner.last_candidate_reports
+        assert pooled.last_links.identities == serial.last_links.identities

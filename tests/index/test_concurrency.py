@@ -1,12 +1,10 @@
-"""Index write-path safety under thread-pooled multi-camera scans.
+"""Index writes of multi-camera scans that run in worker processes.
 
 A :class:`MultiCameraSession` shares ONE :class:`VideoIndexStore` across
-all of its feeds, and the feeds scan concurrently on a thread pool — every
-index write from every feed interleaves on the same tables.  The store's
-write path is serialized by a re-entrant lock and its canonical
-serialization is key-sorted, so the resulting index must be *identical*
-whatever ``max_workers`` was, and identical to the bytes a serial run
-produces.
+all of its feeds.  Feeds scanned in worker processes journal their writes
+and the parent replays the journals in feed order, so the resulting index
+must be *identical* whatever ``max_workers`` was, and identical to the
+bytes a serial run produces.
 """
 
 from __future__ import annotations

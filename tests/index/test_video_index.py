@@ -151,6 +151,35 @@ class TestVideoIndexStore:
         with pytest.warns(UserWarning, match="schema version"):
             VideoIndexStore(path)
 
+    def test_pickle_round_trip(self):
+        import pickle
+
+        store = VideoIndexStore()
+        store.record("v", "detections", "yolox", "D@0", "3", [1, 2])
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.to_json() == store.to_json()
+        clone.record("v", "filter", "m", "V", "3", True)  # the lock was recreated
+        assert clone.lookup("v", "filter", "m", "V", "3") == ("hit", True)
+        assert store.lookup("v", "filter", "m", "V", "3") == ("miss", None)
+
+    def test_replayed_journal_reproduces_the_writes(self, tmp_path):
+        path = str(tmp_path / "index.json")
+        store = VideoIndexStore(path)
+        store.record("v", "detections", "yolox", "D@0", "1", [1])
+        store.save()
+        worker = VideoIndexStore(path)
+        worker.start_journal()
+        worker.record("v", "detections", "yolox", "D@0", "2", [2])
+        worker.record_tracks("v", "kalman|yolox", "D@0", {"1": {"class_name": "car"}})
+        worker.record_stats("v", {"frames_scanned": 2})
+        worker.save()  # a journaling store leaves persisting to the replayer
+        assert VideoIndexStore(path).to_json() == store.to_json()
+        journal = worker.take_journal()
+        assert [method for method, _ in journal] == ["record", "record_tracks", "record_stats"]
+        store.replay(journal)
+        assert store.to_json() == worker.to_json()
+        assert worker.take_journal() == []  # journaling stopped
+
     def test_model_version_tracks_class_and_seed(self):
         zoo0, zoo5 = default_zoo(seed=0), default_zoo(seed=5)
         assert model_version(zoo0.get("yolox")) != model_version(zoo5.get("yolox"))

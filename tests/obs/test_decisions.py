@@ -69,3 +69,32 @@ def test_as_dict():
 def test_max_records_validation():
     with pytest.raises(ValueError):
         DecisionLog(max_records=0)
+
+
+def test_pickle_round_trip():
+    import pickle
+
+    log = DecisionLog(max_records=2)
+    for frame in range(3):
+        log.record("frame-gated", "frame-filter-rejected", frame_id=frame)
+    clone = pickle.loads(pickle.dumps(log))
+    assert clone.records() == log.records()
+    assert clone.summary() == log.summary()
+    assert clone.evicted == log.evicted == 1
+    clone.record("stride-raised", "stable-streak")  # the lock was recreated
+    assert clone.count("stride-raised") == 1 and log.count("stride-raised") == 0
+
+
+def test_extend_matches_one_shared_log():
+    shared = DecisionLog(max_records=3)
+    first, second = DecisionLog(max_records=3), DecisionLog(max_records=3)
+    for log, frames in ((first, range(2)), (second, range(2, 6))):
+        for frame in frames:
+            log.record("frame-deferred", "stride-skip", frame_id=frame)
+            shared.record("frame-deferred", "stride-skip", frame_id=frame)
+    merged = DecisionLog(max_records=3)
+    merged.extend(first)
+    merged.extend(second)
+    assert merged.records() == shared.records()
+    assert merged.summary() == shared.summary()
+    assert merged.evicted == shared.evicted == 3

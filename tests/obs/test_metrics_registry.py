@@ -93,3 +93,38 @@ def test_scan_stats_shared_registry():
     stats = ScanStats(registry=reg)
     stats.frames_deferred += 2
     assert reg.gauge("frames_deferred") == 2
+
+
+# -- pickling and merging -----------------------------------------------------------
+
+
+def test_registry_pickle_round_trip():
+    import pickle
+
+    reg = MetricsRegistry()
+    reg.inc("detector_invocations", model="yolox", value=2)
+    reg.set_gauge("stride", 4)
+    reg.observe("gate_eval_ms", 1.5, model="m")
+    clone = pickle.loads(pickle.dumps(reg))
+    assert clone.snapshot() == reg.snapshot()
+    clone.inc("detector_invocations", model="yolox")  # the lock was recreated
+    assert clone.counter("detector_invocations", model="yolox") == 3
+    assert reg.counter("detector_invocations", model="yolox") == 2
+
+
+def test_registry_merge_sums_counters_and_combines_histograms():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    a.inc("calls", model="x", value=2)
+    b.inc("calls", model="x", value=3)
+    b.inc("calls", model="y")
+    a.set_gauge("stride", 2)
+    b.set_gauge("stride", 8)
+    a.observe("ms", 1.0)
+    b.observe("ms", 5.0)
+    b.observe("ms", 0.5)
+    a.merge(b)
+    assert a.counter("calls", model="x") == 5
+    assert a.counter("calls", model="y") == 1
+    assert a.gauge("stride") == 8
+    h = a.histogram("ms")
+    assert (h.count, h.total, h.min, h.max) == (3, 6.5, 0.5, 5.0)

@@ -126,3 +126,50 @@ def test_chrome_trace_structure(tmp_path):
     path = tmp_path / "chrome.json"
     tracer.export_chrome(path)
     assert json.loads(path.read_text())["traceEvents"]
+
+
+def test_pickle_round_trip():
+    import pickle
+
+    tracer = Tracer()
+    with tracer.span("outer", lane="north"):
+        with tracer.span("inner"):
+            pass
+    clone = pickle.loads(pickle.dumps(tracer))
+    assert clone.to_dicts() == tracer.to_dicts()
+    with clone.span("after") as span:  # lock and parent stack were recreated
+        pass
+    assert span.parent_id is None and len(clone.spans()) == 3
+
+
+def test_adopt_renumbers_and_reparents_under_the_given_span():
+    parent = Tracer()
+    worker = Tracer()
+    with worker.span("feed-scan", lane="cam") as feed:
+        with worker.span("scan"):
+            pass
+    with parent.span("execute-batch") as root:
+        pass
+    start = feed.wall_start_s + worker._epoch
+    parent.adopt(worker, parent=root)
+    adopted_feed, adopted_scan = parent.spans()[1:]
+    assert [s.span_id for s in parent.spans()] == [1, 2, 3]
+    assert adopted_feed.parent_id == root.span_id
+    assert adopted_scan.parent_id == adopted_feed.span_id
+    assert adopted_scan.lane == "cam"
+    # Wall times are re-expressed on the adopting tracer's epoch.
+    assert abs(adopted_feed.wall_start_s + parent._epoch - start) < 1e-9
+    assert parent.lanes() == ["main", "cam"]
+
+
+def test_adopt_respects_max_spans():
+    parent = Tracer(max_spans=2)
+    worker = Tracer()
+    for name in ("a", "b", "c"):
+        with worker.span(name):
+            pass
+    with parent.span("root") as root:
+        pass
+    parent.adopt(worker, parent=root)
+    assert [s.name for s in parent.spans()] == ["root", "a"]
+    assert parent.dropped == 2
